@@ -93,9 +93,16 @@ _REASONS = {
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+#: Header lines accepted per request (431 and close beyond).
+_MAX_HEADER_LINES = 100
+
+#: Longest a refused connection is drained before it is closed.
+_LINGER_S = 1.0
 
 #: Serving outcome -> HTTP status for single-request ``POST /retrieve``.
 _STATUS_CODES = {
@@ -109,6 +116,25 @@ _STATUS_CODES = {
 
 def _record_status_code(record: ServedRequest) -> int:
     return _STATUS_CODES.get(record.status.value, 200)
+
+
+async def _discard_input(reader: asyncio.StreamReader) -> None:
+    while await reader.read(65536):
+        pass
+
+
+class _HeaderTooLarge(Exception):
+    """A request head the daemon refuses to read (answered with 431)."""
+
+
+async def _read_head_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line, bounded by the stream's limit (64 KiB)."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # readline's form of LimitOverrunError
+        raise _HeaderTooLarge(
+            "request or header line exceeds the 64 KiB limit"
+        ) from exc
 
 
 class _MicroBatcher:
@@ -973,8 +999,26 @@ class ServingDaemon:
                 # (bounded so the harness never hangs a test run).
                 await asyncio.sleep(min(fault.duration_us, 200_000.0) / 1e6)
         try:
+            await self._serve_requests(reader, writer)
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass
+        except asyncio.CancelledError:
+            # Event-loop teardown cancels live keep-alive connections; end
+            # the handler quietly instead of tracebacking through the
+            # streams callback.
+            pass
+        finally:
+            writer.close()
+            with contextlib.suppress(Exception):
+                await writer.wait_closed()
+
+    async def _serve_requests(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Answer requests on one connection until it closes (HTTP/1.1)."""
+        try:
             while True:
-                request_line = await reader.readline()
+                request_line = await _read_head_line(reader)
                 if not request_line or request_line in (b"\r\n", b"\n"):
                     break
                 parts = request_line.decode("latin-1").strip().split()
@@ -987,12 +1031,16 @@ class ServingDaemon:
                     break
                 method, target, _version = parts
                 headers: Dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
+                for _ in range(_MAX_HEADER_LINES + 1):
+                    line = await _read_head_line(reader)
                     if line in (b"\r\n", b"\n", b""):
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
+                else:
+                    raise _HeaderTooLarge(
+                        f"more than {_MAX_HEADER_LINES} header lines"
+                    )
                 try:
                     length = int(headers.get("content-length", "0") or "0")
                 except ValueError:
@@ -1013,17 +1061,20 @@ class ServingDaemon:
                 await writer.drain()
                 if not keep_alive:
                     break
-        except (asyncio.IncompleteReadError, ConnectionError):
-            pass
-        except asyncio.CancelledError:
-            # Event-loop teardown cancels live keep-alive connections; end
-            # the handler quietly instead of tracebacking through the
-            # streams callback.
-            pass
-        finally:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+        except _HeaderTooLarge as exc:
+            self._count_http("other", 431)
+            self._write_response(
+                writer, 431,
+                schemas.error_to_wire("header-too-large", str(exc)),
+                keep_alive=False,
+            )
+            await writer.drain()
+            writer.write_eof()
+            # Closing over unread input resets the connection, which can
+            # destroy the 431 before the client reads it: discard what the
+            # client is still sending (bounded) until it hangs up.
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(_discard_input(reader), _LINGER_S)
 
     def _count_http(self, path: str, status: int) -> None:
         """Fold one handled HTTP exchange into the registry (bounded labels)."""
@@ -1125,10 +1176,6 @@ class ServingDaemon:
             self._batch_count,
             len(self.learn_events),
         )
-        # Release execution resources last: with execution="process" this
-        # stops the shard worker pool (and any fleet worker processes) and
-        # unlinks the shared-memory export after the drain above completed.
-        self.engine.close()
 
     def finish(self) -> ServingReport:
         """Close the serving session and return its final report."""

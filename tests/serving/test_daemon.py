@@ -8,6 +8,8 @@ bit-identity soak lives in ``tests/integration/test_daemon_soak.py``.
 
 import http.client
 import json
+import logging
+import socket
 import time
 
 import pytest
@@ -172,6 +174,64 @@ class TestErrorBodies:
         assert status == 400
 
 
+def _raw_exchange(host, port, head):
+    """Send a raw request head; return the status code and the JSON body."""
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(head)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    status_line, _, rest = reply.partition(b"\r\n")
+    _, _, body = rest.partition(b"\r\n\r\n")
+    return status_line, json.loads(body) if body else None
+
+
+#: Request heads past the daemon's limits: a header line and a request line
+#: over asyncio's 64 KiB StreamReader limit, and one header line too many.
+OVERSIZED_HEADS = {
+    "long-header-line": (
+        b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n"
+    ),
+    "long-request-line": b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+    "too-many-headers": (
+        b"GET /healthz HTTP/1.1\r\n"
+        + b"".join(b"X-H%d: v\r\n" % i for i in range(20_000))
+        + b"\r\n"
+    ),
+}
+
+
+class TestHeaderLimits:
+    @pytest.mark.parametrize("head", sorted(OVERSIZED_HEADS))
+    def test_oversized_head_is_a_431_and_the_daemon_keeps_serving(
+        self, daemon, head, capfd, caplog
+    ):
+        handle, client = daemon
+        with caplog.at_level(logging.ERROR):
+            status_line, body = _raw_exchange(
+                handle.host, handle.port, OVERSIZED_HEADS[head]
+            )
+            status, health = client.call("GET", "/healthz")
+        assert status_line == b"HTTP/1.1 431 Request Header Fields Too Large"
+        assert body["error"] == "header-too-large"
+        assert status == 200 and health["status"] == "ok"
+        assert "Traceback" not in capfd.readouterr().err
+        assert not [record for record in caplog.records if record.exc_info]
+
+    def test_header_count_at_the_cap_is_served(self, daemon):
+        from repro.serving.daemon import _MAX_HEADER_LINES
+
+        handle, _ = daemon
+        head = (
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"".join(b"X-H%d: v\r\n" % i for i in range(_MAX_HEADER_LINES - 1))
+            + b"Connection: close\r\n\r\n"
+        )
+        status_line, body = _raw_exchange(handle.host, handle.port, head)
+        assert status_line == b"HTTP/1.1 200 OK"
+        assert body["status"] == "ok"
+
+
 class TestLearn:
     def test_idle_learn_applies_immediately(self, daemon):
         handle, client = daemon
@@ -273,6 +333,18 @@ class TestCapture:
         status, capture = client.call("GET", "/capture")
         assert status == 200
         assert capture["kind"] == "serving-capture"
+        report = replay_capture(capture)
+        replayed = [
+            json.loads(json.dumps(record.to_dict())) for record in report.served
+        ]
+        assert replayed == capture["responses"]
+
+    def test_capture_with_retired_execution_axes_still_replays(self, daemon):
+        """Captures written while the spec carried the process-tier axes load."""
+        _, client = daemon
+        client.call("POST", "/retrieve", PAPER_WIRE)
+        _, capture = client.call("GET", "/capture")
+        capture["spec"].update(execution="inline", workers=0)
         report = replay_capture(capture)
         replayed = [
             json.loads(json.dumps(record.to_dict())) for record in report.served

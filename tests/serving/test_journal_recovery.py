@@ -153,6 +153,27 @@ class TestCrashRecovery:
             client.close()
 
 
+    def test_snapshot_with_retired_execution_axes_recovers(self, tmp_path):
+        """A snapshot spec carrying the removed process-tier axes still matches."""
+        journal_dir = tmp_path / "journal"
+        with DaemonThread(
+            _spec(), journal_dir=str(journal_dir), hard_stop=True
+        ) as handle:
+            client = Client(handle.host, handle.port)
+            status, _ = client.call("POST", "/retrieve", PAPER_WIRE)
+            assert status == 200
+            client.close()
+        (snapshot_path,) = journal_dir.glob("snapshot-*.json")
+        snapshot = json.loads(snapshot_path.read_text())
+        snapshot["spec"].update(execution="inline", workers=0)
+        snapshot_path.write_text(json.dumps(snapshot, sort_keys=True))
+        with DaemonThread(_spec(), journal_dir=str(journal_dir)) as handle:
+            client = Client(handle.host, handle.port)
+            status, body = client.call("POST", "/retrieve", PAPER_WIRE)
+            assert status == 200 and body["index"] == 1
+            client.close()
+
+
 class TestCompaction:
     def test_snapshot_interval_rotates_generations(self, tmp_path):
         with DaemonThread(

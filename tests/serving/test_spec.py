@@ -136,6 +136,12 @@ class TestWire:
         assert ServingSpec.from_wire(spec.to_wire()) == spec
         assert ServingSpec.from_json(spec.to_json()) == spec
 
+    def test_retired_execution_axes_are_ignored_on_load(self):
+        """Wires from before the process tier's removal load unchanged."""
+        spec = ServingSpec(shards=2, learn=True)
+        legacy = dict(spec.to_wire(), execution="inline", workers=0)
+        assert ServingSpec.from_wire(legacy) == spec
+
     def test_wire_document_is_versioned(self):
         document = ServingSpec().to_wire()
         assert document["kind"] == "serving-spec"
